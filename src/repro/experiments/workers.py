@@ -57,10 +57,6 @@ class CellSpec:
     fault_at: Optional[float] = None
     fault_seed: int = 0
     audit: bool = False
-    #: Event-queue backend override for the cell's simulator(s); None
-    #: defers to the process-wide default. Part of the config hash
-    #: only when set, so existing journals keep their keys.
-    queue: Optional[str] = None
     #: Traffic cells: a :class:`repro.traffic.TrafficConfig` encoding.
     #: ``task`` is "traffic" by convention; ``run_cell`` dispatches to
     #: the open-loop engine instead of a single-query simulation.
@@ -136,11 +132,7 @@ def run_cell(spec: CellSpec, invariants=None,
     from .runner import run_task
 
     if spec.traffic is not None:
-        from ..sim.queues import queue_override
         from ..traffic.driver import run_traffic_cell
-        if spec.queue is not None:
-            with queue_override(spec.queue):
-                return run_traffic_cell(spec)
         return run_traffic_cell(spec)
     if invariants is None and spec.audit:
         from ..invariants import InvariantAuditor
@@ -154,7 +146,7 @@ def run_cell(spec: CellSpec, invariants=None,
             seed=spec.fault_seed)
     return run_task(build_config(spec), spec.task, spec.scale,
                     fault_plan=fault_plan, invariants=invariants,
-                    debug=debug, queue_backend=spec.queue)
+                    debug=debug)
 
 
 @dataclass

@@ -11,7 +11,8 @@ bit-identical to a disarmed one.
 
 Auditor catalog (see ``docs/INVARIANTS.md``):
 
-* kernel — clock monotonicity + event-heap sanity (``invariants.kernel``)
+* kernel — clock monotonicity + event-heap sanity
+  (:meth:`InvariantAuditor.audit_dispatch`)
 * :class:`DriveAuditor` — request lifecycle + media byte conservation
 * :class:`MachineAuditor` — phase input/shuffle/frontend byte ledgers
 * :class:`MemoryAuditor` — DiskOS static-budget enforcement
@@ -425,8 +426,9 @@ class InvariantAuditor:
         machine.run()                          # violations raise here
 
     The hub piggybacks on the simulator's lifecycle hooks: ``run()``
-    selects the audited kernel loop (clock monotonicity, heap sanity,
-    periodic resource sweeps) and ``run_finished`` settles the final
+    hands every queue entry to :meth:`audit_dispatch` (clock
+    monotonicity, heap sanity, periodic resource sweeps) and
+    ``run_finished`` settles the final
     conservation ledgers — unless the run is already unwinding with an
     exception, which the final audit must not mask.
     """
@@ -435,6 +437,7 @@ class InvariantAuditor:
 
     def __init__(self, period: int = 2048):
         self.period = max(1, int(period))
+        self._stride = 0
         self.sim: Any = None
         self.counters: Dict[str, int] = {}
         self.violations: List[InvariantViolation] = []
@@ -553,7 +556,37 @@ class InvariantAuditor:
                 detail=f"busy {server.busy_time()!r}s of {self.now!r}s")
 
     # ----------------------------------------------------- kernel hooks
+    def audit_dispatch(self, now: float, when: float, event: Any) -> None:
+        """Check one queue entry the kernel loop is about to fire.
+
+        Called from the fast loop for every entry at time ``when`` while
+        the clock still reads ``now``. Every ``period`` dispatched
+        events it first runs :meth:`sweep`, so the sweep sees the state
+        right after the ``period``-th event fired. The checks never
+        schedule events or touch the clock, so an armed run is
+        bit-identical to a disarmed one.
+        """
+        if self._stride == self.period:
+            self._stride = 0
+            self.sweep()
+        self._stride += 1
+        if when < now:
+            self.fail(
+                "sim.kernel", "clock-monotonicity",
+                expected=f"next event at or after t={now!r}",
+                observed=f"event scheduled at t={when!r}",
+                detail="event scheduled in the past")
+        if event.callbacks is None:
+            self.fail(
+                "sim.kernel", "event-heap",
+                expected="every queued event is unprocessed",
+                observed=f"already-processed {event!r} queued "
+                         f"for t={when!r}",
+                detail="an event was scheduled twice, or a "
+                       "pooled event escaped its recycler")
+
     def run_started(self, sim: Any) -> None:  # lifecycle-hook protocol
+        self._stride = 0
         self.note("invariants.runs")
 
     def run_finished(self, sim: Any) -> None:

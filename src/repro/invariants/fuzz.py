@@ -1,9 +1,10 @@
 """Differential fuzzing of the simulator's kernels and physics.
 
-The repo carries three interchangeable kernel run loops — the fast one
-(``Simulator._run_fast``), the checked one (``repro.sim.debug``) and the
-audited one (:mod:`repro.invariants.kernel`). They are hand-kept mirrors
-of each other, which is exactly the kind of code that rots silently.
+The kernel carries two pop/advance/fire bodies — the fast loop
+(``Simulator._run_fast``, which also serves audited runs) and
+``Simulator.step`` behind the checked loop (``repro.sim.debug``). They
+are hand-kept mirrors of each other, which is exactly the kind of code
+that rots silently.
 This module keeps them honest by brute force: generate seeded random
 small simulation cells (workload x architecture x fault plan x memory
 size), run each cell once through the **audited fast loop** with every

@@ -28,10 +28,9 @@ Example
 from __future__ import annotations
 
 import itertools
-from heapq import heappop
+from functools import partial
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from .queues import make_queue
 
 __all__ = [
     "Simulator",
@@ -44,6 +43,8 @@ __all__ = [
     "SimulationError",
     "SimStalled",
 ]
+
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -412,13 +413,10 @@ class Simulator:
         Optional callable ``trace(time, event)`` invoked for every event
         processed — useful for debugging simulations.
     queue:
-        Event-queue backend: a registered name (``"heap"``,
-        ``"calendar"``), an :class:`~repro.sim.queues.EventQueue`
-        instance, or ``None`` to resolve via
-        :func:`~repro.sim.queues.queue_override` /
-        ``REPRO_SIM_QUEUE`` / the default. Every backend pops in the
-        same global ``(time, seq)`` order, so results are byte-identical
-        across backends; only the run loop's shape differs.
+        ``None`` or ``"heap"``, the only event queue (a ``heapq`` list
+        of ``[time, seq, event]`` entries); anything else raises
+        :class:`ValueError`. Accepted so that callers written against
+        the old backend selector keep working.
 
     Attributes
     ----------
@@ -439,17 +437,22 @@ class Simulator:
         from ..faults import NULL_FAULTS
         from ..invariants import NULL_INVARIANTS
         from ..telemetry import NULL_TELEMETRY
+        if queue not in (None, "heap"):
+            raise ValueError(
+                f"unknown event queue {queue!r}; the kernel has only "
+                "the 'heap' queue")
         self._now = 0.0
-        # Queue entries are [time, seq, event] *lists*, not tuples: on
-        # CPython 3.11 the list freelist makes the push/pop cycle
-        # measurably faster (timeout_storm best-of-5: 0.211s vs 0.219s
-        # with tuples, ~3.5%); comparison cost is identical since the
-        # seq tie-break means element two is never reached.
-        self._queue = make_queue(queue)
+        # A heapq list popped in global (time, seq) order; the unique,
+        # increasing seq makes same-tick events FIFO. Entries are
+        # [time, seq, event] *lists*, not tuples: on CPython 3.11 the
+        # list freelist makes the push/pop cycle measurably faster
+        # (timeout_storm best-of-5: 0.211s vs 0.219s with tuples,
+        # ~3.5%); comparison cost is identical since the seq tie-break
+        # means element two is never reached.
+        self._queue: List[list] = []
         # Bound push cached once: every schedule site pays one attribute
-        # load instead of re-resolving the backend per event. For the
-        # heap backend this is the C-level partial(heappush, entries).
-        self._push = self._queue.push
+        # load and a single C call.
+        self._push = partial(heappush, self._queue)
         self._counter = itertools.count()
         self._active_process: Optional[Process] = None
         self._trace = trace
@@ -464,10 +467,6 @@ class Simulator:
         # pause() timeouts, returned here by the fast run loop.
         self._relay_pool: List[Event] = []
         self._timeout_pool: List[Timeout] = []
-        # In-flight dispatch batch (batched backends only): same-tick
-        # entries already popped but not yet all dispatched, which
-        # peek() must still report as pending.
-        self._batch: Optional[List[Any]] = None
 
     @property
     def debug(self) -> bool:
@@ -476,8 +475,8 @@ class Simulator:
 
     @property
     def queue_backend(self) -> str:
-        """Registry name of the event-queue backend in use."""
-        return self._queue.name
+        """Name of the event queue: always ``"heap"``."""
+        return "heap"
 
     # -- lifecycle hooks ---------------------------------------------------
     def add_hook(self, hook: Any) -> None:
@@ -591,20 +590,9 @@ class Simulator:
         self._push([self._now + delay, next(self._counter), event])
 
     def peek(self) -> float:
-        """Time of the next scheduled event (``inf`` if none).
-
-        During batched dispatch the same-tick batch has already been
-        popped from the queue; its undispatched remainder is still
-        *scheduled* as far as callers are concerned (the per-event loop
-        would have it in the heap), so peek() reports the current tick
-        while any batch entry is still pending. The last entry's event
-        keeps its callbacks list until it is dispatched, which makes
-        that check free for the hot loop.
-        """
-        batch = self._batch
-        if batch is not None and batch[-1][2].callbacks is not None:
-            return self._now
-        return self._queue.peek_time()
+        """Time of the next scheduled event (``inf`` if none)."""
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process exactly one event (the checked, debuggable path).
@@ -621,7 +609,7 @@ class Simulator:
             raise SimulationError(
                 "step() on an empty event queue: nothing is scheduled "
                 "(use run(), or schedule an event first)")
-        when, _, event = self._queue.pop()
+        when, _, event = heappop(self._queue)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
@@ -637,216 +625,79 @@ class Simulator:
     def _run_fast(self, until: Optional[float]) -> None:
         """The hot loop: pop / advance clock / fire callbacks.
 
-        The past-time assertion matches :meth:`step` (same exception
-        class and message for the same defect in either loop); the
-        trace hook lives only in :meth:`step`, selected once per
-        :meth:`run` call instead of being re-tested per event. Pooled
+        One body serves unbounded runs, ``run(until=...)`` and audited
+        runs. Each entry is popped before its time is compared with
+        ``until``; an entry past the bound is pushed back unchanged
+        (same seq, so the same place in the order) and the loop stops,
+        which costs one push per bounded run instead of a peek per
+        event. The past-time assertion matches :meth:`step` (same
+        exception class and message for the same defect in either
+        loop); the trace hook lives only in :meth:`step`. Pooled
         relay/pause events are recycled here the moment their callbacks
         have run.
 
-        Batched backends (``queue.batched``) dispatch through
-        :meth:`_run_batched`, which drains one timestamp per inner
-        loop; the heap reference backend keeps the historical per-event
-        loop below, operating directly on its raw entry list.
+        With an armed :class:`~repro.invariants.InvariantAuditor`
+        installed, ``hub`` is that auditor and every entry passes
+        through :meth:`~repro.invariants.InvariantAuditor.audit_dispatch`
+        before it fires; otherwise ``hub`` is ``None`` and the audit
+        costs one branch per event.
         """
-        if self._queue.batched:
-            self._run_batched(until)
-            return
-        queue = self._queue.entries
+        hub = self.invariants if self.invariants.enabled else None
+        queue = self._queue
         pop = heappop
         relay_pool = self._relay_pool
         timeout_pool = self._timeout_pool
         timeout_cls = Timeout
+        horizon = _INF if until is None else until
         now = self._now
         count = 0
         try:
-            if until is None:
-                while queue:
-                    when, _, event = pop(queue)
-                    if when < now:
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event.value
-                    if event._pooled:
-                        # Recycle fully reset: reuse in pause()/_relay()
-                        # is then a bare pop (the hotter side of the
-                        # cycle), and the callbacks list is reused too.
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        if event.__class__ is timeout_cls:
-                            timeout_pool.append(event)
-                        else:
-                            event.value = None
-                            event._ok = True
-                            event._defused = False
-                            relay_pool.append(event)
-                if self._alive:
-                    raise SimStalled(sorted(p.name for p in self._alive))
-            else:
-                while queue:
-                    if queue[0][0] > until:
-                        break
-                    when, _, event = pop(queue)
-                    if when < now:
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    count += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event.value
-                    if event._pooled:
-                        # Recycle fully reset: reuse in pause()/_relay()
-                        # is then a bare pop (the hotter side of the
-                        # cycle), and the callbacks list is reused too.
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        if event.__class__ is timeout_cls:
-                            timeout_pool.append(event)
-                        else:
-                            event.value = None
-                            event._ok = True
-                            event._defused = False
-                            relay_pool.append(event)
+            while queue:
+                entry = pop(queue)
+                when, _, event = entry
+                if when > horizon:
+                    heappush(queue, entry)
+                    break
+                if hub is not None:
+                    hub.audit_dispatch(now, when, event)
+                if when < now:
+                    raise SimulationError("event scheduled in the past")
+                self._now = now = when
+                count += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event.value
+                if event._pooled:
+                    # Recycle fully reset: reuse in pause()/_relay() is
+                    # then a bare pop (the hotter side of the cycle),
+                    # and the callbacks list is reused too.
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    if event.__class__ is timeout_cls:
+                        timeout_pool.append(event)
+                    else:
+                        event.value = None
+                        event._ok = True
+                        event._defused = False
+                        relay_pool.append(event)
+            if until is not None:
                 self._now = until
+            elif self._alive:
+                raise SimStalled(sorted(p.name for p in self._alive))
         finally:
-            self.event_count += count
-
-    def _run_batched(self, until: Optional[float]) -> None:
-        """Same-tick batch dispatch for batched queue backends.
-
-        Each ``pop_batch`` returns every pending event at the earliest
-        timestamp, in seq (schedule) order, so the clock advance and
-        the past-time check are paid once per *timestamp* instead of
-        once per event. Events scheduled at the current tick during
-        dispatch get higher seqs and form the next batch at the same
-        time — exactly the order the per-event heap loop produces. If
-        dispatch raises mid-batch, the unprocessed remainder is pushed
-        back (original entries, original seqs) so the queue is left in
-        the same state the per-event loop would leave it.
-        """
-        queue = self._queue
-        pop_batch = queue.pop_batch
-        push = queue.push
-        relay_pool = self._relay_pool
-        timeout_pool = self._timeout_pool
-        timeout_cls = Timeout
-        now = self._now
-        count = 0
-        try:
-            if until is None:
-                while True:
-                    batch = pop_batch()
-                    if batch is None:
-                        break
-                    when = batch[0][0]
-                    if when < now:
-                        for entry in batch[1:]:
-                            push(entry)
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    self._batch = batch
-                    n = len(batch)
-                    count += n
-                    i = 0
-                    try:
-                        while i < n:
-                            event = batch[i][2]
-                            i += 1
-                            callbacks = event.callbacks
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            if not event._ok and not event._defused:
-                                raise event.value
-                            if event._pooled:
-                                # Recycle fully reset (see _run_fast).
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                if event.__class__ is timeout_cls:
-                                    timeout_pool.append(event)
-                                else:
-                                    event.value = None
-                                    event._ok = True
-                                    event._defused = False
-                                    relay_pool.append(event)
-                    except BaseException:
-                        # The reference loop counts only dispatched
-                        # events; unwind the pre-count for the
-                        # requeued remainder.
-                        count -= n - i
-                        for entry in batch[i:]:
-                            push(entry)
-                        raise
-                if self._alive:
-                    raise SimStalled(sorted(p.name for p in self._alive))
-            else:
-                peek = queue.peek_time
-                while True:
-                    when = peek()
-                    if when > until:
-                        break
-                    batch = pop_batch()
-                    if when < now:
-                        for entry in batch[1:]:
-                            push(entry)
-                        raise SimulationError("event scheduled in the past")
-                    self._now = now = when
-                    self._batch = batch
-                    n = len(batch)
-                    count += n
-                    i = 0
-                    try:
-                        while i < n:
-                            event = batch[i][2]
-                            i += 1
-                            callbacks = event.callbacks
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                            if not event._ok and not event._defused:
-                                raise event.value
-                            if event._pooled:
-                                # Recycle fully reset (see _run_fast).
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                if event.__class__ is timeout_cls:
-                                    timeout_pool.append(event)
-                                else:
-                                    event.value = None
-                                    event._ok = True
-                                    event._defused = False
-                                    relay_pool.append(event)
-                    except BaseException:
-                        # The reference loop counts only dispatched
-                        # events; unwind the pre-count for the
-                        # requeued remainder.
-                        count -= n - i
-                        for entry in batch[i:]:
-                            push(entry)
-                        raise
-                self._now = until
-        finally:
-            self._batch = None
             self.event_count += count
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or the clock reaches ``until``.
 
         With a trace installed or ``debug=True`` the run goes through
-        the checked per-event loop (see :mod:`repro.sim.debug`); with
-        an armed :class:`~repro.invariants.InvariantAuditor` installed
-        it goes through the audited loop (see
-        :mod:`repro.invariants.kernel`); otherwise the inlined fast
-        loop processes events with the per-event checks hoisted out.
+        the checked per-event loop (see :mod:`repro.sim.debug`);
+        otherwise the inlined fast loop processes events with the
+        per-event checks hoisted out, plus the invariant audits when an
+        armed :class:`~repro.invariants.InvariantAuditor` is installed.
 
         Raises
         ------
@@ -865,9 +716,6 @@ class Simulator:
             if self._debug or self._trace is not None:
                 from .debug import run_checked
                 run_checked(self, until)
-            elif self.invariants.enabled:
-                from ..invariants.kernel import run_audited
-                run_audited(self, until)
             else:
                 self._run_fast(until)
         finally:

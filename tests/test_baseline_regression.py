@@ -12,8 +12,9 @@ import pathlib
 
 import pytest
 
-from repro.experiments import fig1_rows, run_fig1
+from repro.experiments import config_for, fig1_rows, run_fig1, run_task
 from repro.experiments.regression import compare_rows, render_regressions
+from repro.invariants import InvariantAuditor
 
 BASELINE = (pathlib.Path(__file__).resolve().parent.parent
             / "baselines" / "fig1_small.json")
@@ -51,3 +52,22 @@ class TestBaseline:
                                    scale=1 / 256))
         for a, b in zip(fresh_rows, again):
             assert a["elapsed_s"] == b["elapsed_s"]
+
+
+@pytest.mark.parametrize("loop", ["checked", "audited"])
+def test_checked_and_audited_loops_match_baseline_exactly(loop):
+    """Every baseline cell, re-run through the checked or audited loop.
+
+    The checked loop (``debug=True``) and the audited one fire events
+    in the fast loop's exact order, so each cell's elapsed time equals
+    the committed value bit for bit, not within a tolerance.
+    """
+    for row in json.loads(BASELINE.read_text()):
+        config = config_for(row["arch"], row["disks"])
+        if loop == "checked":
+            result = run_task(config, row["task"], row["scale"], debug=True)
+        else:
+            result = run_task(config, row["task"], row["scale"],
+                              invariants=InvariantAuditor())
+        assert result.elapsed == row["elapsed_s"], (
+            f"{row['task']}:{row['arch']}:{row['disks']}")

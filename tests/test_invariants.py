@@ -63,7 +63,7 @@ def push_past_event(sim, at: float):
     from repro.sim.core import Event
     event = Event(sim)
     event._triggered = True
-    sim._queue.push([at, next(sim._counter), event])
+    sim._push([at, next(sim._counter), event])
 
 
 class TestLoopParity:

@@ -10,11 +10,14 @@ behaviours that optimization must not change:
   including failures arriving after the condition already triggered;
 * interrupts racing a same-tick target fire are deterministic;
 * ``pause()`` recycling is invisible to simulation results;
-* the fast and checked loops produce identical simulations.
+* the fast, checked and audited loops produce identical simulations,
+  whether a run goes to completion or in ``run(until=...)`` chunks;
+* the heapq list is the only event queue.
 """
 
 import pytest
 
+from repro.invariants import InvariantAuditor
 from repro.sim import (
     Event,
     Interrupt,
@@ -483,3 +486,129 @@ class TestFastCheckedEquivalence:
         sim.run()
         assert sim._timeout_pool == []
         assert sim.now == 2.0
+
+
+class TestKernelParity:
+    @staticmethod
+    def _interrupt_log(sim):
+        log = []
+
+        def worker(i):
+            for r in range(5):
+                try:
+                    yield sim.pause(1e-4 * ((i + r) % 3 + 1))
+                except Exception:
+                    pass
+                log.append((round(sim.now, 9), i, r))
+
+        workers = [sim.process(worker(i), name=f"w{i}")
+                   for i in range(8)]
+
+        def interrupter():
+            yield sim.pause(2.5e-4)
+            workers[0].interrupt("poke")
+            workers[3].interrupt("poke")
+            yield sim.pause(2.5e-4)
+
+        sim.process(interrupter(), name="intr")
+        sim.run()
+        return log
+
+    def test_interrupts_and_pooled_timeouts(self, sim):
+        # pause() recycles Timeouts through the pool; interrupts ride
+        # the relay pool. Interleaving both must not disturb order or
+        # leak recycled events: the fast loop's log matches the checked
+        # loop's, which never recycles.
+        log = self._interrupt_log(sim)
+        assert len(log) == 40
+        times = [entry[0] for entry in log]
+        assert times == sorted(times)
+        assert log == self._interrupt_log(Simulator(debug=True))
+
+    def test_peek_trace(self, sim):
+        # A process woken at some tick sees peek() report the next
+        # pending event, including same-tick events still queued (the
+        # Sampler loop depends on this).
+        peeks = []
+
+        def observer():
+            while True:
+                peeks.append((sim.now, sim.peek()))
+                if sim.peek() == float("inf"):
+                    return
+                yield sim.pause(sim.peek() - sim.now)
+
+        def worker():
+            for _ in range(3):
+                yield sim.pause(1.0)
+
+        sim.process(observer(), name="obs")
+        sim.process(worker(), name="work")
+        sim.run()
+        # The observer woke at every event time, including inside the
+        # t=0 bootstrap tick.
+        assert [p[0] for p in peeks] == [0.0, 0.0, 1.0, 2.0, 3.0, 3.0]
+
+    def test_empty_step_raises(self):
+        sim = Simulator(queue="heap")
+        with pytest.raises(SimulationError,
+                           match=r"step\(\) on an empty event queue"):
+            sim.step()
+
+    def test_heap_is_the_only_queue(self):
+        assert Simulator().queue_backend == "heap"
+        assert Simulator(queue="heap").queue_backend == "heap"
+        with pytest.raises(ValueError, match="unknown event queue"):
+            Simulator(queue="calendar")
+
+
+def _parity_workload(sim, chunk=None):
+    """Bursty processes with same-tick re-arms and child joins.
+
+    ``chunk`` runs the simulation as ``run(until=t)`` calls ``chunk``
+    seconds apart before a final unbounded ``run()``.
+    """
+    done = []
+
+    def burst(i):
+        for r in range(20):
+            yield sim.pause(1e-5 * ((i * 7 + r) % 11 + 1))
+            if r % 5 == 0:
+                yield sim.pause(0.0)  # same-tick re-arm
+        done.append((sim.now, i))
+
+    def spawner():
+        for i in range(4):
+            child = sim.process(burst(100 + i), name=f"c{i}")
+            yield child
+
+    for i in range(12):
+        sim.process(burst(i), name=f"b{i}")
+    sim.process(spawner(), name="spawn")
+    if chunk is not None:
+        horizon = chunk
+        while sim.peek() != float("inf"):
+            sim.run(until=horizon)
+            assert sim.now == horizon
+            horizon += chunk
+    sim.run()
+    return sim.now, sim.event_count, sorted(done)
+
+
+def _audited():
+    sim = Simulator()
+    InvariantAuditor(period=16).install(sim)
+    return sim
+
+
+@pytest.mark.parametrize("chunk", [None, 3e-5])
+def test_loop_parity_matrix(chunk):
+    """fast / checked / audited agree on clock, count and results."""
+    runs = [_parity_workload(make(), chunk)
+            for make in (Simulator, lambda: Simulator(debug=True),
+                         _audited)]
+    assert runs[0] == runs[1] == runs[2]
+    # Chunking moves only the final clock (a bounded run ends at its
+    # bound); every completion time and the event count are unchanged.
+    _, count, done = _parity_workload(Simulator())
+    assert runs[0][1:] == (count, done)
